@@ -45,9 +45,6 @@ var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
 	"repro/internal/tage.Predictor.allocate",
-	"repro/internal/tage.Predictor.pathHash",
-	"repro/internal/tage.Predictor.tableIndex",
-	"repro/internal/tage.Predictor.tableTag",
 	"repro/internal/serve.Session.step",
 	"repro/internal/serve.Session.Serve",
 	"repro/internal/obs.Histogram.Observe",

@@ -73,10 +73,10 @@ func (b *Buffer) Len() int { return len(b.bits) }
 // After every Buffer.Push, call Update exactly once with the same buffer.
 type Folded struct {
 	comp     uint32
+	mask     uint32
 	origLen  int
 	compLen  int
 	outPoint uint
-	mask     uint32
 }
 
 // NewFolded returns a folded image of the most recent origLen bits
@@ -116,12 +116,19 @@ func (f *Folded) Update(b *Buffer) {
 // predictors that maintain several folds over the same history window
 // (TAGE keeps three per table) load the newest and leaving bit once and
 // feed every fold of the window from registers.
+//
+// The register is loaded once, worked in 64 bits and stored once. The
+// 64-bit width keeps the bit shifted past compLen alive until it wraps
+// to bit 0, which a 32-bit register would lose at compLen = 32. The
+// shift amounts are masked to 63, which is the identity on every legal
+// geometry (outPoint < compLen <= 32) and lets the compiler emit bare
+// shifts with no out-of-range fix-up.
 //repro:hotpath
 func (f *Folded) UpdateBits(newest, leaving uint8) {
-	f.comp = (f.comp << 1) | uint32(newest)
-	f.comp ^= uint32(leaving) << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= f.mask
+	c := uint64(f.comp)<<1 | uint64(newest)
+	c ^= uint64(leaving) << (f.outPoint & 63)
+	c ^= c >> (f.compLen & 63)
+	f.comp = uint32(c) & f.mask
 }
 
 // Value returns the current compLen-bit folded history.

@@ -73,10 +73,12 @@ func TestBufferCapacityRounding(t *testing.T) {
 func TestFoldedMatchesRecompute(t *testing.T) {
 	// The incremental CSR automaton must equal the direct chunked-XOR
 	// definition at every step, for a spread of window/compression shapes
-	// including compLen > origLen and exact multiples.
+	// including compLen > origLen, exact multiples and the full 32-bit
+	// register (the widest compLen MakeFolded accepts).
 	shapes := []struct{ orig, comp int }{
 		{3, 2}, {5, 5}, {9, 4}, {27, 10}, {80, 9}, {130, 11},
 		{300, 10}, {300, 9}, {7, 9}, {16, 8}, {17, 8},
+		{40, 32}, {64, 32}, {100, 32},
 	}
 	for _, s := range shapes {
 		buf := NewBuffer(s.orig + 2)

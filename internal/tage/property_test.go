@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/counter"
+	"repro/internal/history"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -80,24 +81,82 @@ func TestStateInvariantsWithProbabilisticAutomaton(t *testing.T) {
 	checkStateInvariants(t, p)
 }
 
+// TestIndicesAndTagsWithinRange checks the probe's inline hashing
+// against the reference F()/index/tag formulas of the structure-of-arrays
+// oracle in packed_test.go. The two predictors run in lockstep; after
+// every Predict, each bank the probe reached (the alternate and every
+// bank above it, or every bank when there is no alternate) must hold the
+// oracle's row and tag, and both must be in range.
 func TestIndicesAndTagsWithinRange(t *testing.T) {
-	p := New(Large256K())
-	r := xrand.New(5)
-	// Push random history and verify index/tag ranges at every step.
-	for i := 0; i < 3000; i++ {
-		pc := uint64(r.Uint32()) &^ 3
-		for bank := 1; bank <= p.numTables; bank++ {
-			idx := p.tableIndex(pc, bank)
-			if idx >= uint32(1)<<p.cfg.TaggedLog {
-				t.Fatalf("index %d out of range for bank %d", idx, bank)
+	wide := Config{
+		Name:        "wide",
+		BimodalLog:  10,
+		TaggedLog:   16,
+		TagBits:     16,
+		HistLengths: history.GeometricLengths(4, 200, 6),
+		CtrBits:     6,
+		UBits:       4,
+		Seed:        0x3D1F,
+	}
+	// Six banks over a 4-bit row make bank 4's rotation amount zero, and
+	// a 32-bit path register widens the path mask to all ones: the edge
+	// cases of the inline F() that the paper geometries never reach.
+	wrap := Config{
+		Name:        "rotation-wrap",
+		BimodalLog:  8,
+		TaggedLog:   4,
+		TagBits:     8,
+		HistLengths: history.GeometricLengths(2, 40, 6),
+		PathBits:    32,
+		Seed:        0x77,
+	}
+	tr, err := workload.ByName("INT-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range append(StandardConfigs(), wide, wrap) {
+		p := New(cfg)
+		ref := newSOA(cfg, counter.Standard{})
+		m, logg := p.numTables, cfg.TaggedLog
+		check := func(pc uint64, taken bool, i int) {
+			p.Predict(pc)
+			ref.Predict(pc)
+			if p.hitBank != ref.hitBank || p.altBank != ref.altBank {
+				t.Fatalf("%s branch %d: banks (%d,%d), reference (%d,%d)", cfg.Name, i, p.hitBank, p.altBank, ref.hitBank, ref.altBank)
 			}
-			tag := p.tableTag(pc, bank)
-			if tag >= 1<<p.cfg.TagBits {
-				t.Fatalf("tag %#x out of range", tag)
+			for bank := max(p.altBank, 1); bank <= m; bank++ {
+				pos, tag := p.pos[bank], p.tagc[bank]
+				if pos>>logg != uint32(bank-1) {
+					t.Fatalf("%s branch %d bank %d: position %#x outside the bank", cfg.Name, i, bank, pos)
+				}
+				if row, want := pos&(1<<logg-1), ref.tableIndex(pc, bank); row != want {
+					t.Fatalf("%s branch %d bank %d: row %#x, reference %#x", cfg.Name, i, bank, row, want)
+				}
+				if uint32(tag) >= uint32(1)<<cfg.TagBits {
+					t.Fatalf("%s branch %d bank %d: tag %#x out of range", cfg.Name, i, bank, tag)
+				}
+				if want := ref.tableTag(pc, bank); tag != want {
+					t.Fatalf("%s branch %d bank %d: tag %#x, reference %#x", cfg.Name, i, bank, tag, want)
+				}
 			}
+			p.Update(pc, taken)
+			ref.Update(pc, taken)
 		}
-		p.Predict(pc)
-		p.Update(pc, r.Bool())
+		r := trace.Limit(tr, 20_000).Open()
+		for i := 0; ; i++ {
+			b, err := r.Next()
+			if err != nil {
+				break
+			}
+			check(b.PC, b.Taken, i)
+		}
+		// The workload PCs are 4-byte aligned, so the path register (one
+		// pc bit per branch) stays zero over the trace; unaligned random
+		// PCs are what drive F() through non-zero path histories.
+		rng := xrand.New(5)
+		for i := 0; i < 3000; i++ {
+			check(uint64(rng.Uint32()), rng.Bool(), i)
+		}
 	}
 }
 

@@ -102,15 +102,11 @@ type Predictor struct {
 
 	histLens []int //repro:derived geometric history lengths fixed by cfg
 
-	// Per-table pathHash parameters, precomputed so the per-probe hash is
-	// pure shift/mask work (the bank % taggedLog rotation amount used to
-	// cost an integer division per probe).
-	pathSpec []pathSpec //repro:derived fixed by cfg
-
-	// folds holds each table's folded-history registers and history
-	// length in one struct: the per-branch history advance walks one
-	// contiguous slice, and a probe loads a bank's three registers from
-	// adjacent words with a single bounds check.
+	// folds holds each table's folded-history registers, history length
+	// and path-hash parameters in one struct: the per-branch history
+	// advance walks one contiguous slice, and a probe reads everything
+	// it hashes for a bank from adjacent words with a single bounds
+	// check.
 	folds []tableFolds
 
 	ghist *history.Buffer
@@ -135,22 +131,21 @@ type Predictor struct {
 	allocScratch []int    //repro:derived per-prediction scratch
 }
 
-// pathSpec is one table's precomputed pathHash parameters: the
-// path-history mask ((1 << min(histLen, PathBits)) - 1) and the per-bank
-// rotation amount (bank % taggedLog, 1-based bank).
-type pathSpec struct {
-	mask uint32
-	sh   uint32
-}
-
-// tableFolds is one tagged table's folded-history state: the index
-// compression, the two tag compressions, and the history length whose
-// oldest bit leaves the fold window on each update.
+// tableFolds is one tagged table's hashing state: the index
+// compression, the two tag compressions, the history length whose
+// oldest bit leaves the fold window on each update, and the table's
+// precomputed path-hash parameters. pathMask is
+// (1 << min(histLen, PathBits)) - 1; pathSh is the F() rotation amount
+// bank % taggedLog (1-based bank) and pathRsh its complement
+// taggedLog - pathSh, both below 32, so the probe never divides.
 type tableFolds struct {
-	idx     history.Folded
-	tag     history.Folded
-	tag2    history.Folded
-	histLen int
+	idx      history.Folded
+	tag      history.Folded
+	tag2     history.Folded
+	histLen  int
+	pathMask uint32
+	pathSh   uint8
+	pathRsh  uint8
 }
 
 // New builds a predictor with the standard saturating-counter automaton.
@@ -184,7 +179,6 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 		rowMask:   uint32(rows - 1),
 		tagMask:   (uint32(1) << cfg.TagBits) - 1,
 		histLens:  append([]int(nil), cfg.HistLengths...),
-		pathSpec:  make([]pathSpec, m),
 		folds:     make([]tableFolds, m),
 		ghist:     history.NewBuffer(maxHist + 2),
 		phist:     history.NewPath(cfg.PathBits),
@@ -206,12 +200,15 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 		if ps > cfg.PathBits {
 			ps = cfg.PathBits
 		}
-		p.pathSpec[i] = pathSpec{mask: uint32(1)<<ps - 1, sh: uint32(uint(i+1) % cfg.TaggedLog)}
+		sh := uint(i+1) % cfg.TaggedLog
 		p.folds[i] = tableFolds{
-			idx:     history.MakeFolded(hl, int(cfg.TaggedLog)),
-			tag:     history.MakeFolded(hl, tagBits),
-			tag2:    history.MakeFolded(hl, t2),
-			histLen: hl,
+			idx:      history.MakeFolded(hl, int(cfg.TaggedLog)),
+			tag:      history.MakeFolded(hl, tagBits),
+			tag2:     history.MakeFolded(hl, t2),
+			histLen:  hl,
+			pathMask: uint32(1)<<ps - 1,
+			pathSh:   uint8(sh),
+			pathRsh:  uint8(cfg.TaggedLog - sh),
 		}
 	}
 	return p
@@ -223,82 +220,48 @@ func (p *Predictor) Config() Config { return p.cfg }
 // Automaton returns the installed tagged-counter update automaton.
 func (p *Predictor) Automaton() counter.Automaton { return p.auto }
 
-// pathHash implements the F() path-history mixing function of the
-// reference TAGE simulator for table bank (1-based). The per-bank
-// rotation amount and path mask are precomputed, so the hash is pure
-// shift/mask/add work.
-//repro:hotpath
-func (p *Predictor) pathHash(bank int) uint32 {
-	// uint compare: one cold guard instead of a bounds check per field.
-	i := uint(bank) - 1
-	if i >= uint(len(p.pathSpec)) {
-		panic("tage: pathHash bank out of range")
-	}
-	ps := p.pathSpec[i]
-	logg := uint(p.taggedLog)
-	a := p.phist.Value() & ps.mask
-	mask := p.rowMask
-	a1 := a & mask
-	a2 := a >> logg
-	sh := uint(ps.sh)
-	a2 = ((a2 << sh) & mask) + (a2 >> (logg - sh))
-	a = a1 ^ a2
-	a = ((a << sh) & mask) + (a >> (logg - sh))
-	return a & mask
-}
-
-// tableIndex computes the index (row within the table) into tagged table
-// bank (1-based), folding the index compression of the bank's global
-// history with the PC and path-history hash.
-//repro:hotpath
-func (p *Predictor) tableIndex(pc uint64, bank int) uint32 {
-	i := uint(bank) - 1
-	if i >= uint(len(p.folds)) {
-		panic("tage: tableIndex bank out of range")
-	}
-	idx := uint32(pc>>2) ^ uint32(pc>>(2+p.taggedLog)) ^ p.folds[i].idx.Value() ^ p.pathHash(bank)
-	return idx & p.rowMask
-}
-
-// tableTag computes the partial tag for table bank (1-based).
-//repro:hotpath
-func (p *Predictor) tableTag(pc uint64, bank int) uint16 {
-	i := uint(bank) - 1
-	if i >= uint(len(p.folds)) {
-		panic("tage: tableTag bank out of range")
-	}
-	f := &p.folds[i]
-	tag := uint32(pc>>2) ^ f.tag.Value() ^ (f.tag2.Value() << 1)
-	return uint16(tag & p.tagMask)
-}
-
 // Predict computes the prediction for pc and returns the component
 // observation. Each Predict must be followed by exactly one Update for the
 // same pc before predicting the next branch.
 //repro:hotpath
 func (p *Predictor) Predict(pc uint64) Observation {
-	m := p.numTables
-	logg := p.taggedLog
-	// Scratch as locals behind one geometry guard: with
-	// len(pos) == len(tagc) == m+1 established, the per-bank loops below
-	// index the scratch slices check-free.
-	pos, tagc := p.pos, p.tagc
-	if len(pos) != m+1 || len(tagc) != m+1 {
+	logg := p.taggedLog & 31
+	// Scratch and fold state as locals behind one geometry guard: with
+	// len(pos) and len(tagc) above len(folds) (they are numTables+1,
+	// indexed by 1-based bank), the probe loop indexes all three
+	// check-free.
+	pos, tagc, folds := p.pos, p.tagc, p.folds
+	if len(pos) <= len(folds) || len(tagc) <= len(folds) {
 		panic("tage: prediction scratch out of sync with geometry")
 	}
 	entries := p.entries
+	rowMask, tagMask := p.rowMask, p.tagMask
+	// The per-branch hash inputs, read once: the two pc terms of the
+	// index, the pc term of the tag, and the path history.
+	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+logg))
+	pcTag := uint32(pc >> 2)
+	path := p.phist.Value()
 	hitBank, altBank := 0, 0
-	// One pass computes each bank's absolute flat-storage position and
-	// partial tag, reading the bank's three folded-history registers from
-	// one contiguous cache line. The loops bound bank by len(pos) rather
-	// than m (the guard made them equal) so the compiler can discharge
-	// the scratch indexing without reasoning about m+1 overflow.
-	for bank := 1; bank < len(pos); bank++ {
-		pos[bank] = uint32(bank-1)<<logg | p.tableIndex(pc, bank)
-		tagc[bank] = p.tableTag(pc, bank)
-	}
-	for bank := len(pos) - 1; bank >= 1; bank-- {
-		if entryTag(entries[pos[bank]]) == tagc[bank] { //repro:allow-bce pos[bank] = (bank-1)<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
+	// One pass from the longest history down. Each bank's row and tag
+	// are hashed only when the probe reaches it, and the pass stops at
+	// the alternate: Update and allocate read only the provider, the
+	// alternate and the banks above the provider, so pos and tagc are
+	// written for exactly the banks they need.
+	for bank := len(folds); bank >= 1; bank-- {
+		f := &folds[bank-1]
+		// F(), the reference path-history hash, with the per-bank
+		// rotation written out; the & 31 masks are the identity
+		// (taggedLog <= 24) and keep the shifts fix-up free.
+		sh, rsh := uint(f.pathSh)&31, uint(f.pathRsh)&31
+		a := path & f.pathMask
+		a2 := a >> logg
+		a2 = (a2<<sh)&rowMask + a2>>rsh
+		a = a&rowMask ^ a2
+		a = (a<<sh)&rowMask + a>>rsh
+		pp := uint32(bank-1)<<logg | (pcIdx^f.idx.Value()^a)&rowMask
+		tag := uint16((pcTag ^ f.tag.Value() ^ f.tag2.Value()<<1) & tagMask)
+		pos[bank], tagc[bank] = pp, tag
+		if entryTag(entries[pp]) == tag { //repro:allow-bce pp = (bank-1)<<taggedLog | (row & rowMask) < numTables<<taggedLog = len(entries) by arena construction
 			if hitBank == 0 {
 				hitBank = bank
 			} else {
