@@ -298,21 +298,25 @@ func TestObsHotPathZeroAllocs(t *testing.T) {
 }
 
 // TestTraceOpenReuseZeroAllocs asserts that reopening a synthetic
-// workload Program allocates nothing once its reader pool is warm: an
-// exhausted reader returns itself to the Program's pool, and the next
-// Open re-derives every random stream and resets (not reallocates) every
-// behavior instance. This is the guarantee that cut the ~290k
-// trace-open allocations a full Table 1 run used to pay (3 configs × 2
-// suites × 20 traces, each Open rebuilding hundreds of per-site
-// objects). The program below deliberately includes every behavior
+// workload Program allocates nothing once its reader pool and outcome memo
+// are warm: an exhausted reader returns itself to the Program's pool, and
+// the next Open only rewinds the block schedule and replays the memoised
+// outcomes. This is the guarantee that cut the ~290k trace-open
+// allocations a full Table 1 run used to pay (3 configs × 2 suites × 20
+// traces, each Open rebuilding hundreds of per-site objects).
+//
+// A pass that reads past the memo's end resets (not reallocates) every
+// behavior instance and re-runs the prefix, so it may allocate only the
+// memo it grows. The program below deliberately includes every behavior
 // archetype, so a behavior whose instance loses its Resettable
-// implementation shows up here as a per-Open allocation.
+// implementation shows up in that bound as a per-pass allocation.
 func TestTraceOpenReuseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop Puts; pool-recycling alloc pins cannot hold under -race")
 	}
+	const length = 4096
 	prog := workload.NewBuilder("alloc-probe", 0xA110C).
-		SetLength(2048).
+		SetLength(length).
 		Block(4, 2, 5,
 			workload.S(workload.Const{Taken: true}),
 			workload.S(workload.Loop{Trip: 7}),
@@ -333,15 +337,33 @@ func TestTraceOpenReuseZeroAllocs(t *testing.T) {
 		).
 		MustBuild()
 
-	drain := func() {
-		r := prog.Open()
+	drain := func(tr trace.Trace) {
+		r := tr.Open()
 		for {
 			if _, err := r.Next(); err != nil {
 				return
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(30, drain)
+
+	// Growing the memo: every reopen reads 64 records past the memo's
+	// end through trace.Limit, whose early Close publishes the longer
+	// prefix. Allowed: the limit wrapper and its reader, the new memo's
+	// header and its bit slice (the reader's own bit buffer grows by
+	// doubling, so its reallocations round away in the mean).
+	next := uint64(1024)
+	allocs := testing.AllocsPerRun(30, func() {
+		drain(trace.Limit(prog, next))
+		next += 64
+	})
+	if allocs > 4 {
+		t.Fatalf("%v allocs per memo-growing reopen, want <= 4 (behavior instances rebuilt instead of reset?)", allocs)
+	}
+
+	// Replay: once a pass has reached EOF the memo covers the whole
+	// program, and a reopen allocates nothing.
+	drain(prog)
+	allocs = testing.AllocsPerRun(30, func() { drain(prog) })
 	if allocs != 0 {
 		t.Fatalf("%v allocs per trace reopen, want 0 (reader pool not recycling)", allocs)
 	}
@@ -351,17 +373,9 @@ func TestTraceOpenReuseZeroAllocs(t *testing.T) {
 	// truncating wrapper releases the inner reader back to the pool via
 	// the exported Close hook. Only the limitReader wrapper itself may
 	// allocate per Open.
-	for _, limit := range []uint64{1024, 2048, 4096} { // truncated, exact, over-length
+	for _, limit := range []uint64{length / 2, length, 2 * length} { // truncated, exact, over-length
 		lt := trace.Limit(prog, limit)
-		drainWrapped := func() {
-			r := lt.Open()
-			for {
-				if _, err := r.Next(); err != nil {
-					return
-				}
-			}
-		}
-		allocs = testing.AllocsPerRun(30, drainWrapped)
+		allocs = testing.AllocsPerRun(30, func() { drain(lt) })
 		if allocs > 1 {
 			t.Fatalf("limit %d: %v allocs per wrapped reopen, want <= 1 (inner reader not recycling through trace.Limit)", limit, allocs)
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tage"
 	"repro/internal/textplot"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -243,11 +242,18 @@ type EstimatorRow struct {
 // RunEstimatorComparison runs all estimators over CBP-1 on the 16 Kbit
 // predictor with the modified automaton (storage-free) and the standard
 // predictor for the JRS pairs (JRS does not need the automaton change).
-// The full flat (estimator × trace) matrix fans out across the pool in
-// one pass; confusions merge in estimator-major, trace-minor order so the
-// totals match the serial reference exactly.
+// The storage-free row is the binary projection of the memoized
+// (16K, probabilistic, cbp1) suite. The JRS (estimator × trace) matrix
+// fans out across the pool in one pass; confusions merge in
+// estimator-major, trace-minor order so the totals match the serial
+// reference exactly.
 func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 	var out EstimatorComparison
+	free, err := r.Suite(tage.Small16K(), modifiedOpts(), "cbp1")
+	if err != nil {
+		return out, err
+	}
+	out.Rows = append(out.Rows, EstimatorRow{Name: "storage-free (high level)", Confusion: free.Aggregate.Binary()})
 	traces, err := workload.Suite("cbp1")
 	if err != nil {
 		return out, err
@@ -256,34 +262,18 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 	jrsBits := jrs.NewDefault(10, 10).StorageBits() // 1K 4-bit counters = 4 Kbits extra
 	estimators := []struct {
 		name string
-		bits int
-		run  func(tr trace.Trace) (metrics.Binary, error)
+		est  func() sim.BinaryEstimator
 	}{
-		{"storage-free (high level)", 0, func(tr trace.Trace) (metrics.Binary, error) {
-			est := core.NewEstimator(tage.Small16K(), modifiedOpts())
-			res, err := sim.RunTAGEBinary(est, tr, r.Limit)
-			return res.Confusion, err
-		}},
-		{"JRS 4-bit", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			p := tagePredictorAdapter{tage.New(tage.Small16K())}
-			res, err := sim.RunBinary(p, jrs.NewDefault(10, 10), tr, r.Limit)
-			return res.Confusion, err
-		}},
-		{"JRS 4-bit enhanced", jrsBits, func(tr trace.Trace) (metrics.Binary, error) {
-			p := tagePredictorAdapter{tage.New(tage.Small16K())}
-			res, err := sim.RunBinary(p, jrs.NewDefault(10, 10).Enhanced(), tr, r.Limit)
-			return res.Confusion, err
-		}},
+		{"JRS 4-bit", func() sim.BinaryEstimator { return jrs.NewDefault(10, 10) }},
+		{"JRS 4-bit enhanced", func() sim.BinaryEstimator { return jrs.NewDefault(10, 10).Enhanced() }},
 	}
 
 	cells := make([]metrics.Binary, len(estimators)*len(traces))
 	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		conf, err := estimators[i/len(traces)].run(traces[i%len(traces)])
-		if err != nil {
-			return err
-		}
-		cells[i] = conf
-		return nil
+		p := tagePredictorAdapter{tage.New(tage.Small16K())}
+		res, err := sim.RunBinary(p, estimators[i/len(traces)].est(), traces[i%len(traces)], r.Limit)
+		cells[i] = res.Confusion
+		return err
 	}); err != nil {
 		return out, err
 	}
@@ -292,7 +282,7 @@ func (r *Runner) RunEstimatorComparison() (EstimatorComparison, error) {
 		for ti := range traces {
 			conf.Add(cells[ei*len(traces)+ti])
 		}
-		out.Rows = append(out.Rows, EstimatorRow{Name: e.name, StorageBits: e.bits, Confusion: conf})
+		out.Rows = append(out.Rows, EstimatorRow{Name: e.name, StorageBits: jrsBits, Confusion: conf})
 	}
 	return out, nil
 }

@@ -54,13 +54,15 @@ func TestCompositeAllByteIdenticalAcrossWorkers(t *testing.T) {
 // from 720 distinct simulations — the figure 4/6 subsets are now cache
 // hits against the table-1/table-2 suite runs — so a regression in
 // either direction (a new collision or lost sharing) shows up as an
-// exact-count mismatch here.
+// exact-count mismatch here. The storage-free rows of the estimator and
+// self-confidence comparisons are projections of memoized suites, which
+// adds 40 hits (20 each) and no simulation.
 func TestCompositeAllTraceCacheSavings(t *testing.T) {
 	const limit = 4000
 	r, _ := renderAll(t, limit, 4)
 	const (
 		wantSims = 720 // 36 distinct (config, options) x 20-trace suites
-		wantHits = 312 // incl. the 12 figure-4/6 runs previously re-simulated
+		wantHits = 352 // incl. the 12 figure-4/6 runs and the 40 estimators/selfconf rows
 	)
 	if got := r.Simulations(); got != wantSims {
 		t.Fatalf("composite all executed %d trace simulations, want exactly %d", got, wantSims)

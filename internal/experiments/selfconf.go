@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/bimodal"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ogehl"
 	"repro/internal/perceptron"
@@ -104,38 +103,19 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 		},
 	}
 
-	// Every (scheme, trace) run is independent, and so is each trace of
-	// the paper's TAGE storage-free estimator in binary mode (64 Kbit, the
-	// size class of the O-GEHL configuration above; its misp/KI column is
-	// rendered as "-" because the binary driver tallies predictions, not
-	// instructions). The whole flat matrix — schemes plus the TAGE tail
-	// rows — fans out across the pool in one pass, then merges in
-	// scheme-major, trace-minor order so the totals match the serial
-	// reference exactly.
+	// Every (scheme, trace) run is independent: the flat matrix fans out
+	// across the pool in one pass, then merges in scheme-major,
+	// trace-minor order so the totals match the serial reference exactly.
 	type cell struct {
 		conf         metrics.Binary
 		misps, instr uint64
 	}
 	nt := len(traces)
-	cells := make([]cell, (len(schemes)+1)*nt)
+	cells := make([]cell, len(schemes)*nt)
 	if err := r.Pool.ForEach(len(cells), func(i int) error {
-		tr := traces[i%nt]
-		if si := i / nt; si < len(schemes) {
-			p := schemes[si].build()
-			c, m, in, err := runSelfConfidence(p, tr, r.Limit)
-			if err != nil {
-				return err
-			}
-			cells[i] = cell{conf: c, misps: m, instr: in}
-			return nil
-		}
-		est := core.NewEstimator(tage.Medium64K(), modifiedOpts())
-		res, err := sim.RunTAGEBinary(est, tr, r.Limit)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{conf: res.Confusion}
-		return nil
+		c, m, in, err := runSelfConfidence(schemes[i/nt].build(), traces[i%nt], r.Limit)
+		cells[i] = cell{conf: c, misps: m, instr: in}
+		return err
 	}); err != nil {
 		return out, err
 	}
@@ -155,14 +135,18 @@ func (r *Runner) RunSelfConfidence() (SelfConfidence, error) {
 			Confusion: conf,
 		})
 	}
-	var conf metrics.Binary
-	for ti := 0; ti < nt; ti++ {
-		conf.Add(cells[len(schemes)*nt+ti].conf)
+	// The paper's estimator in binary mode (64 Kbit, the size class of the
+	// O-GEHL configuration above) is the projection of the memoized
+	// (64K, probabilistic, cbp1) suite. Its misp/KI stays unset and
+	// renders as "-": the row compares confidence, not predictors.
+	tageRes, err := r.Suite(tage.Medium64K(), modifiedOpts(), "cbp1")
+	if err != nil {
+		return out, err
 	}
 	out.Rows = append(out.Rows, SelfConfidenceRow{
 		Name:      "TAGE storage-free (this paper)",
 		Storage:   tage.Medium64K().StorageBits(),
-		Confusion: conf,
+		Confusion: tageRes.Aggregate.Binary(),
 	})
 	return out, nil
 }

@@ -113,3 +113,25 @@ func TestFreshEstimatorPerTrace(t *testing.T) {
 			suite.PerTrace[1].Total, alone.Total)
 	}
 }
+
+// TestResultBinaryMatchesBinaryDriver requires the Result.Binary
+// projection to reproduce the binary driver's confusion exactly, for both
+// triples the experiments derive from the memo (16 Kbit for the JRS
+// comparison, 64 Kbit for the self-confidence table).
+func TestResultBinaryMatchesBinaryDriver(t *testing.T) {
+	tr, _ := workload.ByName("SERV-2")
+	opts := core.Options{Mode: core.ModeProbabilistic}
+	for _, cfg := range []tage.Config{tage.Small16K(), tage.Medium64K()} {
+		bin, err := RunTAGEBinary(core.NewEstimator(cfg, opts), tr, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunConfig(cfg, opts, tr, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Binary(); got != bin.Confusion {
+			t.Fatalf("%s: Result.Binary() = %+v, RunTAGEBinary confusion = %+v", cfg.Name, got, bin.Confusion)
+		}
+	}
+}

@@ -58,6 +58,21 @@ func (r Result) Level(l core.Level) metrics.Counts {
 	return c
 }
 
+// Binary projects the three-level result onto Grunwald et al.'s binary
+// confusion, High against the rest. It is exact: a graded backend's level
+// is a function of its class, so Level(core.High) holds every
+// high-confidence prediction.
+//repro:deterministic
+func (r Result) Binary() metrics.Binary {
+	high := r.Level(core.High)
+	return metrics.Binary{
+		HighCorrect: high.Preds - high.Misps,
+		HighWrong:   high.Misps,
+		LowCorrect:  (r.Total.Preds - r.Total.Misps) - (high.Preds - high.Misps),
+		LowWrong:    r.Total.Misps - high.Misps,
+	}
+}
+
 // Pcov returns the prediction coverage of a class.
 //repro:deterministic
 func (r Result) Pcov(c core.Class) float64 { return metrics.Pcov(r.Class[c], r.Total) }

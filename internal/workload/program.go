@@ -3,7 +3,9 @@ package workload
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/history"
 	"repro/internal/trace"
@@ -41,11 +43,18 @@ type Block struct {
 // Program is a synthetic workload implementing trace.Trace. All randomness
 // derives from Seed, so every Open replays the identical stream.
 //
-// Exhausted readers are recycled through an internal pool: a reader returns
-// itself when it reports io.EOF (or is released early by trace.Limit), and
-// the next Open reuses its site/instance storage after a deterministic
-// reset, so repeated passes over the same Program allocate nothing in
-// steady state. A Program must not be copied after its first Open, and a
+// A Program memoises its outcome stream, one bit per record. A reader that
+// generates records publishes the prefix it produced when it is released
+// (at io.EOF, or early through trace.Limit), and later Opens replay that
+// prefix: the block schedule is re-walked, PC and Instr come from Sites,
+// and Taken comes from the memo, so no behavior runs. Only a pass that
+// reads past the memo's end builds generation state, by re-running the
+// behaviors over the replayed prefix once, and then extends the memo.
+//
+// Released readers are recycled through an internal pool, so repeated
+// passes over the same Program allocate nothing in steady state.
+//
+// A Program must not be modified or copied after its first Open, and a
 // Reader must not be used again once it has returned io.EOF.
 type Program struct {
 	ProgName string
@@ -55,7 +64,21 @@ type Program struct {
 	// Length is the number of branch records per pass (DefaultLength if 0).
 	Length uint64
 
-	readers sync.Pool // recycled *progReader state
+	prep        sync.Once // validates and fills the fields below on first Open
+	prepErr     error
+	cumWeights  []int // running sums of Blocks' weights
+	totalWeight int
+	length      uint64 // Length, defaulted
+
+	memo    atomic.Pointer[outcomeMemo] // longest published prefix; never nil after prep
+	readers sync.Pool                   // recycled *progReader state
+}
+
+// outcomeMemo is an immutable prefix of a Program's outcome stream: for
+// i < n, bit i&63 of bits[i>>6] is the Taken field of record i.
+type outcomeMemo struct {
+	n    uint64
+	bits []uint64
 }
 
 // Name implements trace.Trace.
@@ -101,79 +124,203 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Open implements trace.Trace.
+// Open implements trace.Trace. It panics if the Program is invalid.
 func (p *Program) Open() trace.Reader {
-	if err := p.Validate(); err != nil {
+	p.prep.Do(p.prepare)
+	if p.prepErr != nil {
 		// A malformed Program is a programming error in a recipe, caught by
 		// the suite tests; fail loudly rather than emit a corrupt stream.
-		panic(err)
+		panic(p.prepErr)
 	}
-	if v := p.readers.Get(); v != nil {
-		r := v.(*progReader)
-		r.reset()
-		return r
+	r, _ := p.readers.Get().(*progReader)
+	if r == nil {
+		r = &progReader{prog: p}
+		r.root.Seed(p.Seed)
 	}
-	root := xrand.New(p.Seed)
-	r := &progReader{
-		prog: p,
-		root: *root,
-		env: Env{
-			hist: history.NewBuffer(histCapacity),
-		},
-		length: p.Length,
-	}
-	root.DeriveInto(0xB10C, &r.sched)
-	if r.length == 0 {
-		r.length = DefaultLength
-	}
-	r.instances = make([]Instance, len(p.Sites))
-	r.siteRands = make([]xrand.Rand, len(p.Sites))
-	r.instRands = make([]xrand.Rand, len(p.Sites))
-	for i, s := range p.Sites {
-		root.DeriveInto(0x517E0000+uint64(i), &r.siteRands[i])
-		r.siteRands[i].DeriveInto(1, &r.instRands[i])
-		r.instances[i] = s.Behavior.New(&r.instRands[i])
-	}
-	r.cumWeights = make([]int, len(p.Blocks))
-	sum := 0
-	for i, b := range p.Blocks {
-		sum += b.Weight
-		r.cumWeights[i] = sum
-	}
-	r.totalWeight = sum
+	r.reset()
 	return r
 }
 
-type progReader struct {
-	prog        *Program
-	root        xrand.Rand // seeded from Program.Seed; never advanced
-	sched       xrand.Rand
-	env         Env
-	instances   []Instance
-	siteRands   []xrand.Rand // per-site streams handed to Env.Rand
-	instRands   []xrand.Rand // per-site streams handed to Behavior.New/Reset
-	cumWeights  []int
-	totalWeight int
+// prepare validates p once and derives the schedule tables every reader
+// shares; p is immutable from here on.
+func (p *Program) prepare() {
+	if p.prepErr = p.Validate(); p.prepErr != nil {
+		return
+	}
+	p.cumWeights = make([]int, len(p.Blocks))
+	for i, b := range p.Blocks {
+		p.totalWeight += b.Weight
+		p.cumWeights[i] = p.totalWeight
+	}
+	p.length = p.Length
+	if p.length == 0 {
+		p.length = DefaultLength
+	}
+	p.memo.Store(&outcomeMemo{})
+}
 
+// cursor is a position in the block schedule.
+type cursor struct {
+	sched    xrand.Rand
 	curBlock int
 	queuePos int // position within current block's site list
 	inBlock  bool
 	repsLeft int
-
-	emitted uint64
-	length  uint64
-	closed  bool // returned to the pool; every later Next is io.EOF
 }
 
-// reset restores a recycled reader to the state a fresh Open constructs,
-// re-deriving every random stream in place (root never advances, so the
-// derivations are bit-identical to construction) and resetting or — for
-// behaviors that do not implement Resettable — rebuilding site instances.
+type progReader struct {
+	prog    *Program
+	root    xrand.Rand   // seeded from Program.Seed; never advanced
+	cur     cursor       // schedule position of the next record
+	memo    *outcomeMemo // replays records [0, memo.n)
+	emitted uint64
+	closed  bool // returned to the pool; every later Next is io.EOF
+
+	// Generation state, live for this pass once gen is set (see
+	// startGenerating).
+	gen       bool
+	env       Env
+	instances []Instance
+	siteRands []xrand.Rand // per-site streams handed to Env.Rand
+	instRands []xrand.Rand // per-site streams handed to Behavior.New/Reset
+	rec       []uint64     // outcomes of records [0, emitted), memo layout
+}
+
+// reset positions a new or recycled reader at the first record. Only the
+// schedule is rewound here; generation state is rebuilt on demand.
 func (r *progReader) reset() {
+	r.rewind()
+	r.memo = r.prog.memo.Load()
+	r.emitted = 0
+	r.closed = false
+	r.gen = false
+}
+
+// rewind puts the schedule cursor back at the first record (root never
+// advances, so the derivation is bit-identical every time).
+func (r *progReader) rewind() {
+	r.cur = cursor{}
+	r.root.DeriveInto(0xB10C, &r.cur.sched)
+}
+
+// release returns the reader to its Program's pool, first publishing the
+// prefix it generated. Later Nexts on this handle report io.EOF; the
+// handle must not be retained past that point.
+func (r *progReader) release() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	if r.gen {
+		r.publish()
+	}
+	r.prog.readers.Put(r)
+}
+
+// publish makes a copy of rec the Program's memo unless an equal or
+// longer prefix is already published.
+func (r *progReader) publish() {
+	var m *outcomeMemo
+	for {
+		old := r.prog.memo.Load()
+		if old.n >= r.emitted {
+			return
+		}
+		if m == nil {
+			m = &outcomeMemo{n: r.emitted, bits: slices.Clone(r.rec)}
+		}
+		if r.prog.memo.CompareAndSwap(old, m) {
+			return
+		}
+	}
+}
+
+// Close implements the early-release hook trace.Limit probes for, so
+// truncated passes recycle their reader state (and publish what they
+// generated) too.
+func (r *progReader) Close() { r.release() }
+
+func (r *progReader) pickBlock() int {
 	p := r.prog
-	r.root.DeriveInto(0xB10C, &r.sched)
-	r.env.hist.Reset()
-	r.env.Rand = nil
+	w := r.cur.sched.Intn(p.totalWeight)
+	// Linear scan: block counts are small (tens), and the scan order is
+	// deterministic.
+	for i, cw := range p.cumWeights {
+		if w < cw {
+			return i
+		}
+	}
+	return len(p.cumWeights) - 1
+}
+
+// step advances the schedule by one record and returns its site. The
+// schedule draws only from cur.sched, never from outcomes, so replay and
+// generation walk the same sites.
+func (r *progReader) step() int {
+	c := &r.cur
+	if !c.inBlock {
+		if c.repsLeft > 0 {
+			c.repsLeft--
+		} else {
+			c.curBlock = r.pickBlock()
+			b := &r.prog.Blocks[c.curBlock]
+			c.repsLeft = b.MinRep + c.sched.Intn(b.MaxRep-b.MinRep+1) - 1
+		}
+		c.queuePos = 0
+		c.inBlock = true
+	}
+	block := &r.prog.Blocks[c.curBlock]
+	siteIdx := block.Sites[c.queuePos]
+	c.queuePos++
+	if c.queuePos >= len(block.Sites) {
+		c.inBlock = false
+	}
+	return siteIdx
+}
+
+func (r *progReader) Next() (trace.Branch, error) {
+	if r.closed {
+		return trace.Branch{}, io.EOF
+	}
+	if r.emitted >= r.prog.length {
+		r.release()
+		return trace.Branch{}, io.EOF
+	}
+	siteIdx := r.step()
+	var taken bool
+	if i := r.emitted; i < r.memo.n {
+		taken = r.memo.bits[i>>6]>>(i&63)&1 != 0
+	} else {
+		if !r.gen {
+			r.startGenerating()
+		}
+		taken = r.outcome(siteIdx)
+		r.record(i, taken)
+	}
+	r.emitted++
+	site := &r.prog.Sites[siteIdx]
+	instr := site.Instr
+	if instr == 0 {
+		instr = 5
+	}
+	return trace.Branch{PC: site.PC, Taken: taken, Instr: instr}, nil
+}
+
+// startGenerating builds the generation state at record r.emitted, the
+// end of the replayed memo: it resets every site stream, instance and the
+// outcome history, re-runs the behaviors over the replayed prefix on a
+// fresh schedule while recording it into rec, and restores this pass's
+// schedule cursor.
+func (r *progReader) startGenerating() {
+	p := r.prog
+	if r.instances == nil {
+		r.env.hist = history.NewBuffer(histCapacity)
+		r.instances = make([]Instance, len(p.Sites))
+		r.siteRands = make([]xrand.Rand, len(p.Sites))
+		r.instRands = make([]xrand.Rand, len(p.Sites))
+	} else {
+		r.env.hist.Reset()
+	}
 	for i, s := range p.Sites {
 		r.root.DeriveInto(0x517E0000+uint64(i), &r.siteRands[i])
 		r.siteRands[i].DeriveInto(1, &r.instRands[i])
@@ -183,72 +330,38 @@ func (r *progReader) reset() {
 			r.instances[i] = s.Behavior.New(&r.instRands[i])
 		}
 	}
-	r.curBlock, r.queuePos, r.inBlock, r.repsLeft = 0, 0, false, 0
-	r.emitted = 0
-	r.closed = false
-}
-
-// release returns the reader to its Program's pool. Later Nexts on this
-// handle report io.EOF; the handle must not be retained past that point.
-func (r *progReader) release() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	r.prog.readers.Put(r)
-}
-
-// Close implements the early-release hook trace.Limit probes for, so
-// truncated passes recycle their reader state too.
-func (r *progReader) Close() { r.release() }
-
-func (r *progReader) pickBlock() int {
-	w := r.sched.Intn(r.totalWeight)
-	// Linear scan: block counts are small (tens), and the scan order is
-	// deterministic.
-	for i, cw := range r.cumWeights {
-		if w < cw {
-			return i
+	r.rec = r.rec[:0]
+	saved := r.cur
+	r.rewind()
+	for i := uint64(0); i < r.emitted; i++ {
+		taken := r.outcome(r.step())
+		if taken != (r.memo.bits[i>>6]>>(i&63)&1 != 0) {
+			panic(fmt.Sprintf("workload %s: record %d diverges from its memo (Program modified after its first Open?)",
+				p.ProgName, i))
 		}
+		r.record(i, taken)
 	}
-	return len(r.cumWeights) - 1
+	r.cur = saved
+	r.gen = true
 }
 
-func (r *progReader) Next() (trace.Branch, error) {
-	if r.closed {
-		return trace.Branch{}, io.EOF
-	}
-	if r.emitted >= r.length {
-		r.release()
-		return trace.Branch{}, io.EOF
-	}
-	if !r.inBlock {
-		if r.repsLeft > 0 {
-			r.repsLeft--
-		} else {
-			r.curBlock = r.pickBlock()
-			b := &r.prog.Blocks[r.curBlock]
-			r.repsLeft = b.MinRep + r.sched.Intn(b.MaxRep-b.MinRep+1) - 1
-		}
-		r.queuePos = 0
-		r.inBlock = true
-	}
-	block := &r.prog.Blocks[r.curBlock]
-	siteIdx := block.Sites[r.queuePos]
-	r.queuePos++
-	if r.queuePos >= len(block.Sites) {
-		r.inBlock = false
-	}
-	site := &r.prog.Sites[siteIdx]
+// outcome runs the behavior of site siteIdx for the next record.
+func (r *progReader) outcome(siteIdx int) bool {
 	r.env.Rand = &r.siteRands[siteIdx]
 	taken := r.instances[siteIdx].Next(&r.env)
 	r.env.hist.Push(taken)
-	r.emitted++
-	instr := site.Instr
-	if instr == 0 {
-		instr = 5
+	return taken
+}
+
+// record stores the outcome of record i, the next one rec lacks.
+func (r *progReader) record(i uint64, taken bool) {
+	w := int(i >> 6)
+	if w == len(r.rec) {
+		r.rec = append(r.rec, 0)
 	}
-	return trace.Branch{PC: site.PC, Taken: taken, Instr: instr}, nil
+	if taken {
+		r.rec[w] |= 1 << (i & 63)
+	}
 }
 
 // Builder assembles a Program from behavior specs, assigning branch
