@@ -40,11 +40,14 @@ const GCFlags = "-m=1 -d=ssa/check_bce/debug=1"
 
 // mustBeZero lists hotpath functions that may carry no unwaived bounds
 // check and no heap escape, golden or not: the per-branch TAGE loops,
-// the serve batch loop, and the observability record paths.
+// the estimator that grades them, the serve batch loop, and the
+// observability record paths.
 var mustBeZero = []string{
 	"repro/internal/tage.Predictor.Predict",
 	"repro/internal/tage.Predictor.Update",
 	"repro/internal/tage.Predictor.allocate",
+	"repro/internal/core.Estimator.Predict",
+	"repro/internal/core.Estimator.Update",
 	"repro/internal/serve.Session.step",
 	"repro/internal/serve.Session.Serve",
 	"repro/internal/obs.Histogram.Observe",
@@ -72,6 +75,8 @@ var inlineAllowList = []struct {
 	{"repro/internal/bimodal", "(*Packed).Counter"},
 	{"repro/internal/bimodal", "(*Packed).Predict"},
 	{"repro/internal/bimodal", "(*Packed).Weak"},
+	{"repro/internal/core", "(*Classifier).Classify"},
+	{"repro/internal/core", "(*Classifier).Resolve"},
 }
 
 // FuncFacts is the gate's verdict on one hotpath function.

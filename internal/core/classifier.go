@@ -17,9 +17,13 @@ const DefaultBimWindow = 8
 //
 // Protocol per branch: call Classify with the Observation returned by the
 // predictor's Predict, then call Resolve with the same observation and the
-// branch outcome (before predicting the next branch).
+// branch outcome (before predicting the next branch). Both read the
+// observation in place.
 type Classifier struct {
-	ctrBits   uint //repro:derived construction parameter, fixed for the classifier's lifetime
+	// tagged maps a tagged provider's counter to its class, indexed by
+	// the counter's low six bits (uint8(ctr) & 63): every counter of up
+	// to 6 bits — the widest Config accepts — has its own slot.
+	tagged    [64]Class //repro:derived class table fixed by the counter width at construction
 	window    int
 	remaining int
 }
@@ -43,7 +47,12 @@ func NewClassifierWindow(cfg tage.Config, window int) *Classifier {
 	if window < 0 {
 		window = 0
 	}
-	return &Classifier{ctrBits: ctrBits, window: window}
+	c := &Classifier{window: window}
+	lo, hi := int(counter.SignedMin(ctrBits)), int(counter.SignedMax(ctrBits))
+	for v := lo; v <= hi; v++ {
+		c.tagged[uint8(v)&63] = taggedClass(int8(v), ctrBits)
+	}
+	return c
 }
 
 // Window returns the configured medium-conf-bim window length.
@@ -52,9 +61,9 @@ func (c *Classifier) Window() int { return c.window }
 // Classify grades one prediction. It reads only the observation and the
 // window counter; it does not modify any state.
 //repro:hotpath
-func (c *Classifier) Classify(obs tage.Observation) Class {
+func (c *Classifier) Classify(obs *tage.Observation) Class {
 	if obs.Tagged() {
-		return taggedClass(obs.ProviderCtr, c.ctrBits)
+		return c.tagged[uint8(obs.ProviderCtr)&63]
 	}
 	if obs.BimCtr.Weak() {
 		return LowConfBim
@@ -69,7 +78,7 @@ func (c *Classifier) Classify(obs tage.Observation) Class {
 // weak (1) → Wtag, nearly weak (3) → NWtag, saturated → Stag, anything in
 // between → NStag. For the paper's 3-bit counters the in-between value is
 // exactly 5; the rule extends to the §6 4-bit widening experiment.
-//repro:hotpath
+// NewClassifierWindow tabulates it once per counter value.
 func taggedClass(ctr int8, bits uint) Class {
 	switch s := counter.Strength(ctr); {
 	case s == 1:
@@ -87,7 +96,7 @@ func taggedClass(ctr int8, bits uint) Class {
 // outcome. It must be called once per prediction, after Classify, with the
 // same observation.
 //repro:hotpath
-func (c *Classifier) Resolve(obs tage.Observation, taken bool) {
+func (c *Classifier) Resolve(obs *tage.Observation, taken bool) {
 	if obs.Tagged() {
 		return
 	}

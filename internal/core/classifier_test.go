@@ -7,8 +7,8 @@ import (
 	"repro/internal/tage"
 )
 
-func bimObs(pc uint64, ctr counter.Bimodal) tage.Observation {
-	return tage.Observation{
+func bimObs(pc uint64, ctr counter.Bimodal) *tage.Observation {
+	return &tage.Observation{
 		PC:          pc,
 		Pred:        ctr.Taken(),
 		AltPred:     ctr.Taken(),
@@ -18,8 +18,8 @@ func bimObs(pc uint64, ctr counter.Bimodal) tage.Observation {
 	}
 }
 
-func tagObs(pc uint64, ctr int8) tage.Observation {
-	return tage.Observation{
+func tagObs(pc uint64, ctr int8) *tage.Observation {
+	return &tage.Observation{
 		PC:          pc,
 		Pred:        counter.TakenSigned(ctr),
 		Provider:    1,
@@ -176,5 +176,22 @@ func TestClassifyIsPure(t *testing.T) {
 	b := cls.Classify(strong)
 	if a != b {
 		t.Fatal("Classify must not mutate state")
+	}
+}
+
+// TestClassTableMatchesTaggedClass checks the construction-time class
+// table against the |2·ctr+1| rule for every counter value of every
+// width Config accepts.
+func TestClassTableMatchesTaggedClass(t *testing.T) {
+	for bits := uint(2); bits <= 6; bits++ {
+		cfg := tage.Small16K()
+		cfg.CtrBits = bits
+		cls := NewClassifier(cfg)
+		for v := int(counter.SignedMin(bits)); v <= int(counter.SignedMax(bits)); v++ {
+			ctr := int8(v)
+			if got, want := cls.Classify(tagObs(0x100, ctr)), taggedClass(ctr, bits); got != want {
+				t.Errorf("%d-bit ctr %d -> %v, want %v", bits, ctr, got, want)
+			}
+		}
 	}
 }

@@ -91,8 +91,10 @@ type Estimator struct {
 	cfg  tage.Config //repro:derived construction input, immutable
 	opts Options     //repro:derived construction input, immutable
 
-	lastObs   tage.Observation //repro:derived per-prediction scratch; havePred is cleared on restore
-	lastClass Class            //repro:derived per-prediction scratch; havePred is cleared on restore
+	// obs is the predictor's own Observation of the most recent Predict,
+	// graded and resolved in place rather than copied.
+	obs       *tage.Observation //repro:derived per-prediction scratch; havePred is cleared on restore
+	lastClass Class             //repro:derived per-prediction scratch; havePred is cleared on restore
 	havePred  bool
 }
 
@@ -103,13 +105,11 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 	if denomLog == 0 {
 		denomLog = counter.DefaultDenomLog
 	}
-	var auto counter.Automaton = counter.Standard{}
-	var prob *counter.Probabilistic
+	var prob *counter.Probabilistic // nil: the standard automaton
 	if opts.Mode != ModeStandard {
 		prob = counter.NewProbabilistic(xrand.Mix64(cfg.Seed^0xC0FF), denomLog)
-		auto = prob
 	}
-	pred := tage.NewWithAutomaton(cfg, auto)
+	pred := tage.NewWithAutomaton(cfg, prob)
 
 	window := opts.BimWindow
 	switch {
@@ -136,28 +136,34 @@ func NewEstimator(cfg tage.Config, opts Options) *Estimator {
 // and level. Each Predict must be followed by one Update for the same pc.
 //repro:hotpath
 func (e *Estimator) Predict(pc uint64) (pred bool, class Class, level Level) {
-	e.lastObs = e.pred.Predict(pc)
-	e.lastClass = e.cls.Classify(e.lastObs)
-	e.havePred = true
-	return e.lastObs.Pred, e.lastClass, e.lastClass.Level()
+	obs := e.pred.Predict(pc)
+	class = e.cls.Classify(obs)
+	e.obs, e.lastClass, e.havePred = obs, class, true
+	return obs.Pred, class, class.Level()
 }
 
-// Observation returns the raw component observation of the most recent
-// Predict.
+// Observation returns a copy of the raw component observation of the most
+// recent Predict (the zero Observation before the first).
 //repro:hotpath
-func (e *Estimator) Observation() tage.Observation { return e.lastObs }
+func (e *Estimator) Observation() tage.Observation {
+	if e.obs == nil {
+		return tage.Observation{}
+	}
+	return *e.obs
+}
 
 // Update resolves the most recent prediction, training the predictor,
 // advancing the classifier window and feeding the adaptive controller.
 //repro:hotpath
 func (e *Estimator) Update(pc uint64, taken bool) {
-	if !e.havePred || e.lastObs.PC != pc {
+	obs := e.obs
+	if !e.havePred || obs.PC != pc {
 		panic(fmt.Sprintf("core: Update(%#x) without matching Predict", pc)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
 	}
 	e.havePred = false
-	e.cls.Resolve(e.lastObs, taken)
+	e.cls.Resolve(obs, taken)
 	if e.ctl != nil {
-		e.ctl.Observe(e.lastClass.Level(), e.lastObs.Pred != taken)
+		e.ctl.Observe(e.lastClass.Level(), obs.Pred != taken)
 	}
 	e.pred.Update(pc, taken)
 }

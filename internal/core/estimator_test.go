@@ -191,3 +191,25 @@ func TestObservationAccess(t *testing.T) {
 	}
 	est.Update(0x4000, true)
 }
+
+// TestObservationIsACopy: Observation hands out a copy, so neither the
+// next Predict (which overwrites the predictor's own observation in
+// place) nor writes to the copy reach the other side.
+func TestObservationIsACopy(t *testing.T) {
+	est := NewEstimator(tage.Small16K(), Options{})
+	if got := est.Observation(); got != (tage.Observation{}) {
+		t.Fatalf("Observation before any Predict = %+v, want zero", got)
+	}
+	est.Predict(0x4000)
+	obs := est.Observation()
+	est.Update(0x4000, true)
+	est.Predict(0x4100)
+	if obs.PC != 0x4000 {
+		t.Fatalf("kept copy changed under the next Predict: PC %#x", obs.PC)
+	}
+	obs.PC = 0xdead
+	if got := est.Observation().PC; got != 0x4100 {
+		t.Fatalf("Observation PC %#x, want 0x4100", got)
+	}
+	est.Update(0x4100, false)
+}

@@ -29,7 +29,7 @@ func TestQuickWindowNeverNegative(t *testing.T) {
 		cls := NewClassifierWindow(tage.Small16K(), window)
 		r := xrand.New(seed)
 		for i := 0; i < 500; i++ {
-			var obs tage.Observation
+			var obs *tage.Observation
 			if r.Bool() {
 				obs = bimObs(0x100, counter.Bimodal(r.Intn(4)))
 			} else {
@@ -53,7 +53,7 @@ func TestQuickWindowNeverNegative(t *testing.T) {
 func TestQuickClassifyTotal(t *testing.T) {
 	cls := NewClassifier(tage.Small16K())
 	f := func(tagged bool, ctrRaw int8, bimRaw uint8, windowOpen bool) bool {
-		var obs tage.Observation
+		var obs *tage.Observation
 		if tagged {
 			ctr := ctrRaw % 4
 			if ctrRaw < 0 {
@@ -114,7 +114,8 @@ func TestEstimatorLevelsConsistentWithCounts(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		pc := 0x400000 + uint64(r.Intn(256))*8
 		_, class, level := est.Predict(pc)
-		reClass := est.Classifier().Classify(est.Observation())
+		obs := est.Observation()
+		reClass := est.Classifier().Classify(&obs)
 		if class != reClass {
 			t.Fatalf("returned class %v != reclassified %v", class, reClass)
 		}

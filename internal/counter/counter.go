@@ -12,8 +12,9 @@
 //
 // The paper's §6 contribution — slowing down the transition into the
 // saturated state so that saturation implies high confidence — is
-// implemented by Probabilistic, a drop-in replacement for the Standard
-// update automaton.
+// implemented by Probabilistic, a drop-in replacement for the standard
+// saturating update (UpdateSigned). Both automata are deterministic given
+// their seed, so the whole simulation is reproducible.
 package counter
 
 import "repro/internal/xrand"
@@ -34,7 +35,7 @@ func SignedMax(bits uint) int8 {
 
 // UpdateSigned moves a signed saturating counter of the given width one step
 // toward taken (increment) or not-taken (decrement), saturating at the
-// bounds. It is the "Standard" automaton as a pure function.
+// bounds. It is the standard (unmodified TAGE) counter automaton.
 //repro:hotpath
 func UpdateSigned(v int8, bits uint, taken bool) int8 {
 	if taken {
@@ -142,26 +143,6 @@ func (b Bimodal) Update(taken bool) Bimodal {
 	return b
 }
 
-// An Automaton is an update policy for the signed prediction counters of the
-// TAGE tagged tables. Update returns the counter's next value after
-// observing the branch outcome taken.
-//
-// Standard is the textbook saturating counter. Probabilistic implements the
-// paper's §6 modification. Both are deterministic given their seed, so the
-// whole simulation is reproducible.
-type Automaton interface {
-	Update(v int8, bits uint, taken bool) int8
-}
-
-// Standard is the unmodified saturating-counter automaton.
-type Standard struct{}
-
-// Update implements Automaton.
-//repro:hotpath
-func (Standard) Update(v int8, bits uint, taken bool) int8 {
-	return UpdateSigned(v, bits, taken)
-}
-
 // Probabilistic is the paper's modified automaton: on a correct prediction,
 // when the counter is nearly saturated (2 or -3 for 3 bits), the transition
 // into the saturated state is performed only with probability 2^-DenomLog.
@@ -217,7 +198,8 @@ func (p *Probabilistic) Probability() float64 {
 	return 1.0 / float64(uint64(1)<<p.denomLog)
 }
 
-// Update implements Automaton.
+// Update returns the counter's next value after observing the branch
+// outcome taken.
 //repro:hotpath
 func (p *Probabilistic) Update(v int8, bits uint, taken bool) int8 {
 	max := SignedMax(bits)

@@ -147,11 +147,20 @@ func TestBimodalPredicatesExhaustive(t *testing.T) {
 }
 
 func TestStandardAutomatonMatchesPureFunction(t *testing.T) {
-	var a Standard
-	for v := int8(-4); v <= 3; v++ {
-		for _, taken := range []bool{true, false} {
-			if got, want := a.Update(v, 3, taken), UpdateSigned(v, 3, taken); got != want {
-				t.Errorf("Standard.Update(%d, %v) = %d, want %d", v, taken, got, want)
+	// The standard automaton is UpdateSigned: one step toward the outcome,
+	// clamped to the counter's range, at every width TAGE accepts.
+	for bits := uint(2); bits <= 6; bits++ {
+		lo, hi := int(SignedMin(bits)), int(SignedMax(bits))
+		for v := lo; v <= hi; v++ {
+			for _, taken := range []bool{true, false} {
+				want := v - 1
+				if taken {
+					want = v + 1
+				}
+				want = max(lo, min(hi, want))
+				if got := UpdateSigned(int8(v), bits, taken); int(got) != want {
+					t.Errorf("UpdateSigned(%d, %d, %v) = %d, want %d", v, bits, taken, got, want)
+				}
 			}
 		}
 	}
@@ -319,10 +328,9 @@ func TestFourBitStrengthRange(t *testing.T) {
 }
 
 func BenchmarkStandardUpdate(b *testing.B) {
-	var a Standard
 	v := int8(0)
 	for i := 0; i < b.N; i++ {
-		v = a.Update(v, 3, i&3 == 0)
+		v = UpdateSigned(v, 3, i&3 == 0)
 	}
 	_ = v
 }

@@ -56,13 +56,17 @@ func TestCompositeAllByteIdenticalAcrossWorkers(t *testing.T) {
 // either direction (a new collision or lost sharing) shows up as an
 // exact-count mismatch here. The storage-free rows of the estimator and
 // self-confidence comparisons are projections of memoized suites, which
-// adds 40 hits (20 each) and no simulation.
+// adds 40 hits (20 each) and no simulation. The memo keys on the
+// canonical (config, options) form, so four arms that spell a default
+// explicitly — ctr=3 on 16K and 64K (ablation-ctr), denomlog=7 (sweep)
+// and window=8 (ablation-window) — share the zero-valued arms' entries:
+// 80 simulations become hits.
 func TestCompositeAllTraceCacheSavings(t *testing.T) {
 	const limit = 4000
 	r, _ := renderAll(t, limit, 4)
 	const (
-		wantSims = 720 // 36 distinct (config, options) x 20-trace suites
-		wantHits = 352 // incl. the 12 figure-4/6 runs and the 40 estimators/selfconf rows
+		wantSims = 640 // 32 distinct canonical (config, options) x 20-trace suites
+		wantHits = 432 // incl. the 12 figure-4/6 runs, the 40 estimators/selfconf rows and the 80 default-spelled arms
 	)
 	if got := r.Simulations(); got != wantSims {
 		t.Fatalf("composite all executed %d trace simulations, want exactly %d", got, wantSims)

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
@@ -97,9 +98,43 @@ func NewWorkers(limit uint64, workers int) *Runner {
 // Options field losslessly and injectively — distinct pairs always
 // produce distinct specs — so the key is collision-proof by
 // construction, replacing the hand-maintained field list that once
-// omitted AdaptiveWindow and truncated TargetMKP.
+// omitted AdaptiveWindow and truncated TargetMKP. It encodes the
+// canonical form of the pair, so spellings the estimator builds
+// identically (an explicit default, the zero value) share one entry.
 func (r *Runner) keyPrefix(cfg tage.Config, opts core.Options) string {
+	cfg, opts = canonical(cfg, opts)
 	return predictor.TAGESpec(cfg, opts).String() + "|"
+}
+
+// canonical clears every field core.NewEstimator and the TAGE predictor
+// would default: a field holding its default value counts as unset, so
+// two pairs with equal canonical forms build bit-identical estimators.
+func canonical(cfg tage.Config, opts core.Options) (tage.Config, core.Options) {
+	if cfg.CtrBits == tage.DefaultCtrBits {
+		cfg.CtrBits = 0
+	}
+	if cfg.UBits == tage.DefaultUBits {
+		cfg.UBits = 0
+	}
+	if cfg.PathBits == tage.DefaultPathBits {
+		cfg.PathBits = 0
+	}
+	if cfg.UResetPeriod == tage.DefaultUResetPeriod {
+		cfg.UResetPeriod = 0
+	}
+	if opts.DenomLog == counter.DefaultDenomLog {
+		opts.DenomLog = 0
+	}
+	if opts.BimWindow == core.DefaultBimWindow {
+		opts.BimWindow = 0
+	}
+	if opts.TargetMKP <= 0 || opts.TargetMKP == core.DefaultTargetMKP {
+		opts.TargetMKP = 0
+	}
+	if opts.AdaptiveWindow == core.DefaultAdaptiveWindow {
+		opts.AdaptiveWindow = 0
+	}
+	return cfg, opts
 }
 
 // results returns the per-trace results for (cfg, opts) over traces, in

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/counter"
+	"repro/internal/sim"
 	"repro/internal/tage"
+	"repro/internal/workload"
 )
 
 // TestRunnerKeyCoversAllResultAffectingFields is the regression test for
@@ -168,5 +171,64 @@ func TestRunnerSingleflightSimulatesOnce(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatalf("caller %d saw MPKI %v, caller 0 saw %v", i, results[i], results[0])
 		}
+	}
+}
+
+// TestRunnerDefaultSpellingsShareOneEntry: a field set to the value the
+// estimator would default it to is the same predictor as the zero value,
+// so each such variant must hit the zero-valued run's memo entry and
+// return it bit for bit.
+func TestRunnerDefaultSpellingsShareOneEntry(t *testing.T) {
+	explicitCtr := func(c tage.Config) tage.Config { c.CtrBits = tage.DefaultCtrBits; return c }
+	cases := []struct {
+		name       string
+		zeroCfg    tage.Config
+		zeroOpts   core.Options
+		spelledCfg tage.Config
+		spelled    core.Options
+	}{
+		{"ctr=3/16K", tage.Small16K(), standardOpts(), explicitCtr(tage.Small16K()), standardOpts()},
+		{"ctr=3/64K", tage.Medium64K(), standardOpts(), explicitCtr(tage.Medium64K()), standardOpts()},
+		{"denomlog=7", tage.Small16K(), modifiedOpts(), tage.Small16K(),
+			core.Options{Mode: core.ModeProbabilistic, DenomLog: counter.DefaultDenomLog}},
+		{"window=8", tage.Small16K(), modifiedOpts(), tage.Small16K(),
+			core.Options{Mode: core.ModeProbabilistic, BimWindow: core.DefaultBimWindow}},
+		{"mkp=10,awindow=16384", tage.Small16K(), adaptiveOpts(), tage.Small16K(),
+			core.Options{Mode: core.ModeAdaptive, TargetMKP: core.DefaultTargetMKP, AdaptiveWindow: core.DefaultAdaptiveWindow}},
+	}
+	const traces = 3
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var names []string
+			for _, tr := range workload.CBP1()[:traces] {
+				names = append(names, tr.Name())
+			}
+			r := NewWorkers(2000, 1)
+			zero, err := r.Traces(c.zeroCfg, c.zeroOpts, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spelled, err := r.Traces(c.spelledCfg, c.spelled, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Simulations(); got != traces {
+				t.Fatalf("%d simulations, want %d: the default spelling missed the zero-valued entry", got, traces)
+			}
+			if got := r.TraceHits(); got != traces {
+				t.Fatalf("%d trace hits, want %d", got, traces)
+			}
+			// The shared entry must be what the spelled variant computes
+			// on its own.
+			for i, tr := range workload.CBP1()[:traces] {
+				fresh, err := sim.RunConfig(c.spelledCfg, c.spelled, tr, 2000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh != zero[i] || spelled[i] != zero[i] {
+					t.Fatalf("%s: spelled run %+v differs from zero-valued %+v", tr.Name(), fresh, zero[i])
+				}
+			}
+		})
 	}
 }

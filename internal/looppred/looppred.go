@@ -250,7 +250,7 @@ func NewLTAGE(tageCfg tage.Config, loopCfg Config) *LTAGE {
 // remains available through Observation.
 //repro:hotpath
 func (l *LTAGE) Predict(pc uint64) bool {
-	l.lastTage = l.tage.Predict(pc)
+	l.lastTage = *l.tage.Predict(pc) // LTAGE keeps its own copy for Observation and Update
 	l.lastLoop = l.loop.Predict(pc)
 	l.usedLoop = l.lastLoop.Valid && l.withLoop >= 0
 	if l.usedLoop {

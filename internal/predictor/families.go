@@ -405,11 +405,13 @@ func buildLTAGE(sp Spec) (Backend, error) {
 			// analogue of a saturated provider.
 			return pred, core.Stag, core.High
 		}
-		class := cls.Classify(lt.Observation())
+		obs := lt.Observation()
+		class := cls.Classify(&obs)
 		return pred, class, class.Level()
 	}
 	g.update = func(pc uint64, taken bool) {
-		cls.Resolve(lt.Observation(), taken)
+		obs := lt.Observation()
+		cls.Resolve(&obs, taken)
 		lt.Update(pc, taken)
 	}
 	g.save = func(dst []byte) []byte {

@@ -42,11 +42,13 @@ func startServer(t *testing.T, cfg Config) *Server {
 			t.Errorf("serve returned: %v", err)
 		}
 	})
-	// Serve publishes the listener under the server mutex; wait for it
-	// so tests can Dial(srv.Addr()) race-free.
-	for deadline := time.Now().Add(5 * time.Second); srv.Addr() == nil; {
+	// Serve publishes the listener under the server mutex before it
+	// restores checkpoints, and flips Ready only once they are restored
+	// and its loops run. Wait for both, so tests can Dial(srv.Addr())
+	// race-free and read the engine only after a warm start completed.
+	for deadline := time.Now().Add(5 * time.Second); srv.Addr() == nil || !srv.Ready(); {
 		if time.Now().After(deadline) {
-			t.Fatal("server never published its address")
+			t.Fatal("server never became ready")
 		}
 		time.Sleep(time.Millisecond)
 	}

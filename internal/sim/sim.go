@@ -318,7 +318,8 @@ type TAGEBinary struct {
 func (t TAGEBinary) HighConfidence(pc uint64, pred bool) bool {
 	_ = pc
 	_ = pred
-	cls := t.Est.Classifier().Classify(t.Est.Observation())
+	obs := t.Est.Observation()
+	cls := t.Est.Classifier().Classify(&obs)
 	return cls.Level() == core.High
 }
 

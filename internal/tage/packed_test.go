@@ -133,7 +133,7 @@ type soaPredictor struct {
 
 	useAltOnNA int8
 
-	auto counter.Automaton
+	prob *counter.Probabilistic // nil: standard saturating update
 	rng  *xrand.Rand
 
 	tick uint64
@@ -147,7 +147,7 @@ type soaPredictor struct {
 	scratch     []int
 }
 
-func newSOA(cfg Config, auto counter.Automaton) *soaPredictor {
+func newSOA(cfg Config, prob *counter.Probabilistic) *soaPredictor {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -170,7 +170,7 @@ func newSOA(cfg Config, auto counter.Automaton) *soaPredictor {
 		folds:     make([]history.Folded, 3*m),
 		ghist:     history.NewBuffer(maxHist + 2),
 		phist:     history.NewPath(cfg.PathBits),
-		auto:      auto,
+		prob:      prob,
 		rng:       xrand.New(xrand.Mix64(cfg.Seed ^ 0x7A6E)),
 		pos:       make([]uint32, m+1),
 		tagc:      make([]uint16, m+1),
@@ -263,11 +263,11 @@ func (p *soaPredictor) Predict(pc uint64) Observation {
 	if p.altBank > 0 {
 		altCtr := p.ctr[p.pos[p.altBank]]
 		altPred = counter.TakenSigned(altCtr)
-		obs.AltProvider = p.altBank - 1
+		obs.AltProvider = int8(p.altBank - 1)
 		obs.AltCtr = altCtr
 	}
 
-	obs.Provider = p.hitBank - 1
+	obs.Provider = int8(p.hitBank - 1)
 	obs.ProviderCtr = providerCtr
 	obs.ProviderU = p.u[providerPos]
 	obs.AltPred = altPred
@@ -281,6 +281,13 @@ func (p *soaPredictor) Predict(pc uint64) Observation {
 
 	p.lastObs = obs
 	return obs
+}
+
+func (p *soaPredictor) step(v int8, bits uint, taken bool) int8 {
+	if p.prob != nil {
+		return p.prob.Update(v, bits, taken)
+	}
+	return counter.UpdateSigned(v, bits, taken)
 }
 
 func (p *soaPredictor) Update(pc uint64, taken bool) {
@@ -308,13 +315,13 @@ func (p *soaPredictor) Update(pc uint64, taken bool) {
 		if p.u[providerPos] == 0 {
 			if p.altBank > 0 {
 				altPos := p.pos[p.altBank]
-				p.ctr[altPos] = p.auto.Update(p.ctr[altPos], ctrBits, taken)
+				p.ctr[altPos] = p.step(p.ctr[altPos], ctrBits, taken)
 			} else {
 				p.base.Update(pc, taken)
 			}
 		}
 
-		p.ctr[providerPos] = p.auto.Update(p.ctr[providerPos], ctrBits, taken)
+		p.ctr[providerPos] = p.step(p.ctr[providerPos], ctrBits, taken)
 
 		if p.longestPred != obs.AltPred {
 			if p.longestPred == taken {
@@ -407,7 +414,7 @@ func diffConfigs() []Config {
 func TestPackedMatchesSOADifferential(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		for _, mode := range []string{"standard", "probabilistic"} {
-			var autoP, autoS counter.Automaton = counter.Standard{}, counter.Standard{}
+			var autoP, autoS *counter.Probabilistic
 			if mode == "probabilistic" {
 				// Distinct automaton instances with identical seeds keep the
 				// two predictors' random streams in lockstep.
@@ -420,7 +427,7 @@ func TestPackedMatchesSOADifferential(t *testing.T) {
 			check := func(pc uint64, taken bool, src string, i int) {
 				po := packed.Predict(pc)
 				so := soa.Predict(pc)
-				if po != so {
+				if *po != so {
 					t.Fatalf("%s/%s/%s branch %d: packed %+v != soa %+v", cfg.Name, mode, src, i, po, so)
 				}
 				packed.Update(pc, taken)

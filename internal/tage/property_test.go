@@ -116,7 +116,7 @@ func TestIndicesAndTagsWithinRange(t *testing.T) {
 	}
 	for _, cfg := range append(StandardConfigs(), wide, wrap) {
 		p := New(cfg)
-		ref := newSOA(cfg, counter.Standard{})
+		ref := newSOA(cfg, nil)
 		m, logg := p.numTables, cfg.TaggedLog
 		check := func(pc uint64, taken bool, i int) {
 			p.Predict(pc)
@@ -214,9 +214,9 @@ func TestPredictIsReadOnly(t *testing.T) {
 		if err != nil {
 			break
 		}
-		first := p.Predict(b.PC)
+		first := *p.Predict(b.PC)
 		for i := 0; i < 3; i++ {
-			again := p.Predict(b.PC)
+			again := *p.Predict(b.PC)
 			if again != first {
 				t.Fatal("repeated Predict changed the observation")
 			}

@@ -33,7 +33,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	for _, cfg := range StandardConfigs() {
 		for _, mode := range []string{"standard", "probabilistic"} {
-			var auto counter.Automaton = counter.Standard{}
+			var auto *counter.Probabilistic
 			if mode == "probabilistic" {
 				auto = counter.NewProbabilistic(cfg.Seed, counter.DefaultDenomLog)
 			}

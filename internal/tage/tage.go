@@ -12,7 +12,10 @@
 //
 // Everything the paper's storage-free confidence estimator needs to observe
 // — which component provided the prediction and the value of its prediction
-// counter — is exposed through the Observation returned by Predict.
+// counter — is exposed through the Observation returned by Predict. The
+// predictor owns that Observation: Predict writes it once, Update and the
+// confidence classifier read it in place, and the next Predict overwrites
+// it.
 package tage
 
 import (
@@ -30,7 +33,8 @@ const ProviderBimodal = -1
 
 // Observation captures everything visible at the outputs of the predictor
 // components for one prediction — the raw material of the paper's
-// storage-free confidence estimation.
+// storage-free confidence estimation. It is 24 bytes: the PC, then nine
+// one-byte fields.
 type Observation struct {
 	// PC is the branch the observation belongs to.
 	PC uint64
@@ -41,7 +45,7 @@ type Observation struct {
 	AltPred bool
 	// Provider is the tagged table index (0-based, longer history = larger
 	// index) or ProviderBimodal.
-	Provider int
+	Provider int8
 	// ProviderCtr is the provider's signed prediction counter (tagged
 	// provider only).
 	ProviderCtr int8
@@ -54,20 +58,22 @@ type Observation struct {
 	UsedAlt bool
 	// AltProvider is the table index of the alternate provider, or
 	// ProviderBimodal.
-	AltProvider int
+	AltProvider int8
 	// AltCtr is the alternate provider's counter (tagged alternate only).
 	AltCtr int8
 }
 
 // Tagged reports whether the prediction was provided by a tagged component.
+// Like Strength it takes a pointer: a value receiver would copy all 24
+// bytes at every call on the predictor's own Observation.
 //repro:hotpath
-func (o Observation) Tagged() bool { return o.Provider != ProviderBimodal }
+func (o *Observation) Tagged() bool { return o.Provider != ProviderBimodal }
 
 // Strength returns |2·ctr+1| of the provider counter for tagged providers,
 // the paper's tagged-class discriminator; it returns 0 for bimodal
 // providers.
 //repro:hotpath
-func (o Observation) Strength() int {
+func (o *Observation) Strength() int {
 	if !o.Tagged() {
 		return 0
 	}
@@ -114,7 +120,9 @@ type Predictor struct {
 
 	useAltOnNA int8 // 4-bit signed: >= 0 favors altpred on weak new entries
 
-	auto counter.Automaton //repro:derived fixed at construction; the rng it draws from is encoded
+	// prob is the §6 probabilistic automaton driving the tagged
+	// prediction counters; nil selects the standard saturating update.
+	prob *counter.Probabilistic //repro:derived fixed at construction; the rng it draws from is encoded
 	rng  *xrand.Rand
 
 	tick uint64
@@ -150,14 +158,14 @@ type tableFolds struct {
 
 // New builds a predictor with the standard saturating-counter automaton.
 func New(cfg Config) *Predictor {
-	return NewWithAutomaton(cfg, counter.Standard{})
+	return NewWithAutomaton(cfg, nil)
 }
 
 // NewWithAutomaton builds a predictor whose tagged prediction counters are
-// driven by the given update automaton — counter.Standard{} for the
-// unmodified TAGE, or a *counter.Probabilistic for the paper's §6
-// modification.
-func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
+// driven by the paper's §6 probabilistic automaton, or by the standard
+// saturating update (counter.UpdateSigned) of the unmodified TAGE when
+// prob is nil.
+func NewWithAutomaton(cfg Config, prob *counter.Probabilistic) *Predictor {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -182,7 +190,7 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 		folds:     make([]tableFolds, m),
 		ghist:     history.NewBuffer(maxHist + 2),
 		phist:     history.NewPath(cfg.PathBits),
-		auto:      auto,
+		prob:      prob,
 		rng:       xrand.New(xrand.Mix64(cfg.Seed ^ 0x7A6E)),
 		pos:       make([]uint32, m+1),
 		tagc:      make([]uint16, m+1),
@@ -217,14 +225,14 @@ func NewWithAutomaton(cfg Config, auto counter.Automaton) *Predictor {
 // Config returns the (normalized) configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// Automaton returns the installed tagged-counter update automaton.
-func (p *Predictor) Automaton() counter.Automaton { return p.auto }
-
 // Predict computes the prediction for pc and returns the component
 // observation. Each Predict must be followed by exactly one Update for the
 // same pc before predicting the next branch.
+//
+// The returned Observation belongs to the predictor: it stays valid until
+// the next Predict, which overwrites it in place. Copy it to keep it.
 //repro:hotpath
-func (p *Predictor) Predict(pc uint64) Observation {
+func (p *Predictor) Predict(pc uint64) *Observation {
 	logg := p.taggedLog & 31
 	// Scratch and fold state as locals behind one geometry guard: with
 	// len(pos) and len(tagc) above len(folds) (they are numTables+1,
@@ -271,54 +279,55 @@ func (p *Predictor) Predict(pc uint64) Observation {
 		}
 	}
 	p.hitBank, p.altBank = hitBank, altBank
-
-	obs := Observation{
-		PC:          pc,
-		Provider:    ProviderBimodal,
-		AltProvider: ProviderBimodal,
-		BimCtr:      p.base.Counter(pc), //repro:allow-bce inlined bimodal read: slot/packedPerWord < len(words) by NewPackedIn's length check
-	}
-	basePred := obs.BimCtr.Taken()
-
-	if hitBank == 0 {
-		obs.Pred = basePred
-		obs.AltPred = basePred
-		p.longestPred = basePred
-		p.lastObs = obs
-		p.havePred = true
-		return obs
-	}
-
-	// The provider's word was just loaded by the tag-match loop; ctr and
-	// u come out of the same word with no further memory traffic.
-	providerEntry := entries[pos[hitBank]] //repro:allow-bce pos[hitBank] is an arena position < len(entries) by construction (see the tag-match loop)
-	providerCtr := entryCtr(providerEntry)
-	p.longestPred = counter.TakenSigned(providerCtr)
-
-	altPred := basePred
-	if altBank > 0 {
-		altCtr := entryCtr(entries[pos[altBank]]) //repro:allow-bce pos[altBank] is an arena position < len(entries) by construction
-		altPred = counter.TakenSigned(altCtr)
-		obs.AltProvider = altBank - 1
-		obs.AltCtr = altCtr
-	}
-
-	obs.Provider = hitBank - 1
-	obs.ProviderCtr = providerCtr
-	obs.ProviderU = entryU(providerEntry)
-	obs.AltPred = altPred
-
-	// Prediction selection (paper §3.1): use the provider counter unless it
-	// is weak and USE_ALT_ON_NA is non-negative.
-	if p.cfg.DisableUseAltOnNA || p.useAltOnNA < 0 || !counter.WeakSigned(providerCtr) {
-		obs.Pred = p.longestPred
-	} else {
-		obs.Pred = altPred
-		obs.UsedAlt = obs.Pred != p.longestPred
-	}
-
-	p.lastObs = obs
 	p.havePred = true
+
+	bimCtr := p.base.Counter(pc) //repro:allow-bce inlined bimodal read: slot/packedPerWord < len(words) by NewPackedIn's length check
+	basePred := bimCtr.Taken()
+
+	// A bimodal provider predicts alone; a tagged hit overrides each of
+	// these below.
+	longestPred, pred, altPred, usedAlt := basePred, basePred, basePred, false
+	provider, altProvider := int8(ProviderBimodal), int8(ProviderBimodal)
+	var providerCtr, altCtr int8
+	var providerU uint8
+	if hitBank > 0 {
+		// The provider's word was just loaded by the tag-match loop; ctr
+		// and u come out of the same word with no further memory traffic.
+		providerEntry := entries[pos[hitBank]] //repro:allow-bce pos[hitBank] is an arena position < len(entries) by construction (see the tag-match loop)
+		providerCtr = entryCtr(providerEntry)
+		providerU = entryU(providerEntry)
+		provider = int8(hitBank - 1)
+		longestPred = counter.TakenSigned(providerCtr)
+		if altBank > 0 {
+			altCtr = entryCtr(entries[pos[altBank]]) //repro:allow-bce pos[altBank] is an arena position < len(entries) by construction
+			altPred = counter.TakenSigned(altCtr)
+			altProvider = int8(altBank - 1)
+		}
+		// Prediction selection (paper §3.1): use the provider counter
+		// unless it is weak and USE_ALT_ON_NA is non-negative.
+		pred = longestPred
+		if !p.cfg.DisableUseAltOnNA && p.useAltOnNA >= 0 && counter.WeakSigned(providerCtr) {
+			pred = altPred
+			usedAlt = pred != longestPred
+		}
+	}
+	p.longestPred = longestPred
+
+	// The observation is written once, in place, field by field. A
+	// composite literal is staged on the stack with byte stores and then
+	// block-copied, and the copy's wide load cannot forward from those
+	// narrow stores.
+	obs := &p.lastObs
+	obs.PC = pc
+	obs.Pred = pred
+	obs.AltPred = altPred
+	obs.Provider = provider
+	obs.ProviderCtr = providerCtr
+	obs.ProviderU = providerU
+	obs.BimCtr = bimCtr
+	obs.UsedAlt = usedAlt
+	obs.AltProvider = altProvider
+	obs.AltCtr = altCtr
 	return obs
 }
 
@@ -331,14 +340,14 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		panic(fmt.Sprintf("tage: Update(%#x) without matching Predict (last %#x)", pc, p.lastObs.PC)) //repro:allow-alloc guard path: protocol violation aborts the run, allocation cost is irrelevant
 	}
 	p.havePred = false
-	obs := p.lastObs
+	// The observation is read in place: only its two predictions matter.
+	pred, altPred := p.lastObs.Pred, p.lastObs.AltPred
 	m := p.numTables
-	ctrBits := p.cfg.CtrBits
 	hitBank, altBank := p.hitBank, p.altBank
 	entries := p.entries
 
 	// Allocation on misprediction when a longer-history table exists.
-	if obs.Pred != taken && hitBank < m {
+	if pred != taken && hitBank < m {
 		p.allocate(taken)
 	}
 
@@ -357,8 +366,8 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 		// USE_ALT_ON_NA monitors whether the alternate prediction beats a
 		// weak ("newly allocated") provider.
-		if counter.WeakSigned(ctr) && p.longestPred != obs.AltPred {
-			if obs.AltPred == taken {
+		if counter.WeakSigned(ctr) && p.longestPred != altPred {
+			if altPred == taken {
 				if p.useAltOnNA < 7 {
 					p.useAltOnNA++
 				}
@@ -367,23 +376,39 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 			}
 		}
 
+		// The counter automaton is called directly: the §6 probabilistic
+		// update when one is installed, else the standard saturating
+		// step, which inlines.
+		prob, ctrBits := p.prob, p.cfg.CtrBits
+
 		// When the provider entry is not yet established (u == 0), also
 		// train the alternate prediction source.
 		if entryU(e) == 0 {
 			if altBank > 0 {
 				altPos := pos[altBank]
 				ae := entries[altPos] //repro:allow-bce altPos is an arena position < len(entries) by construction
-				entries[altPos] = entrySetCtr(ae, p.auto.Update(entryCtr(ae), ctrBits, taken))
+				ac := entryCtr(ae)
+				if prob != nil {
+					ac = prob.Update(ac, ctrBits, taken)
+				} else {
+					ac = counter.UpdateSigned(ac, ctrBits, taken)
+				}
+				entries[altPos] = entrySetCtr(ae, ac)
 			} else {
 				p.base.Update(pc, taken)
 			}
 		}
 
-		e = entrySetCtr(e, p.auto.Update(ctr, ctrBits, taken))
+		if prob != nil {
+			ctr = prob.Update(ctr, ctrBits, taken)
+		} else {
+			ctr = counter.UpdateSigned(ctr, ctrBits, taken)
+		}
+		e = entrySetCtr(e, ctr)
 
 		// Useful counter: credit the provider when it disagreed with the
 		// alternate prediction and was right; debit when wrong.
-		if p.longestPred != obs.AltPred {
+		if p.longestPred != altPred {
 			if p.longestPred == taken {
 				e = entrySetU(e, counter.IncUnsigned(entryU(e), p.cfg.UBits))
 			} else {

@@ -2,6 +2,7 @@ package tage
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/counter"
 	"repro/internal/trace"
@@ -292,7 +293,7 @@ func TestObservationConsistency(t *testing.T) {
 		}
 		if obs.Tagged() {
 			sawTagged = true
-			if obs.Provider < 0 || obs.Provider >= p.Config().NumTables() {
+			if obs.Provider < 0 || int(obs.Provider) >= p.Config().NumTables() {
 				t.Fatalf("provider index %d out of range", obs.Provider)
 			}
 			s := obs.Strength()
@@ -486,4 +487,35 @@ func benchConfig(b *testing.B, cfg Config) {
 		p.Predict(br.PC)
 		p.Update(br.PC, br.Taken)
 	}
+}
+
+// TestObservationLayout pins the Observation at 24 bytes: the PC and
+// nine one-byte fields, the size Predict writes once per branch.
+func TestObservationLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Observation{}); got > 24 {
+		t.Fatalf("Observation is %d bytes, want <= 24", got)
+	}
+}
+
+// TestPredictReturnsOwnedObservation pins the ownership contract: Predict
+// returns the predictor's own Observation, which Update leaves intact
+// and the next Predict overwrites in place.
+func TestPredictReturnsOwnedObservation(t *testing.T) {
+	p := New(Small16K())
+	first := p.Predict(0x400100)
+	if first.PC != 0x400100 {
+		t.Fatalf("observation PC %#x, want 0x400100", first.PC)
+	}
+	p.Update(0x400100, true)
+	if first.PC != 0x400100 {
+		t.Fatal("Update rewrote the observation")
+	}
+	second := p.Predict(0x400200)
+	if second != first {
+		t.Fatal("Predict returned a fresh Observation instead of the predictor's own")
+	}
+	if first.PC != 0x400200 {
+		t.Fatalf("next Predict left the observation at PC %#x, want 0x400200", first.PC)
+	}
+	p.Update(0x400200, false)
 }

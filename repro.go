@@ -89,7 +89,9 @@ import (
 type Config = tage.Config
 
 // Observation is the per-prediction component observation the storage-free
-// estimator grades (see tage.Observation).
+// estimator grades (see tage.Observation). Predictor.Predict returns a
+// pointer to the predictor's own Observation, valid until its next
+// Predict; Estimator.Observation returns a copy.
 type Observation = tage.Observation
 
 // Predictor is the TAGE predictor (see tage.Predictor).
